@@ -34,9 +34,10 @@ const BUCKET_SLOTS: usize = 128;
 
 /// Reusable working storage for [`append_unique_into`]: the hash table and
 /// the first-occurrence mark buffer survive across invocations, so a warm
-/// scratch makes the whole op allocation-free. Results are independent of
-/// scratch history (the table may stay oversized — see
-/// [`GpuHashTable::reset`]).
+/// scratch makes the whole op allocation-free. Each call sizes the table's
+/// active region to its own keys, so its cost does not grow with the
+/// largest call the scratch has served, and results are independent of
+/// scratch history (see [`GpuHashTable::reset`]).
 #[derive(Default)]
 pub struct AppendUniqueScratch {
     table: GpuHashTable,
@@ -388,15 +389,16 @@ mod tests {
         assert_eq!(&seq.unique[targets.len()..], &expect[..]);
     }
 
-    /// A reused (oversized, dirty) scratch must produce bit-identical
-    /// output to a fresh one: IDs are keyed on first-occurrence watermarks,
-    /// never on slot positions, so table size cannot leak into results.
+    /// A reused scratch (storage larger than needed, dirty past the active
+    /// region) must produce bit-identical output to a fresh one: IDs are
+    /// keyed on first-occurrence watermarks, never on slot positions, so
+    /// table size cannot leak into results.
     #[test]
     fn reused_scratch_is_bit_identical_to_fresh() {
         let mut scratch = AppendUniqueScratch::default();
         let (mut unique, mut ids, mut dups) = (Vec::new(), Vec::new(), Vec::new());
-        // Warm the scratch with a *large* input first so later runs see an
-        // oversized table.
+        // Warm the scratch with a *large* input first so later runs reuse
+        // storage longer than their active region.
         let big_targets: Vec<u64> = (5000..5400).collect();
         let big_neighbors: Vec<u64> = (0..20_000u64).map(|i| i % 1777).collect();
         append_unique_into(
@@ -425,6 +427,48 @@ mod tests {
             assert_eq!(ids, fresh.neighbor_ids, "round {round}");
             assert_eq!(dups, fresh.dup_count, "round {round}");
         }
+    }
+
+    /// Shrinking and regrowing the active region inside retained storage
+    /// must not leak state: the medium call re-activates slots that the
+    /// first (big) call dirtied and the small call never wiped.
+    #[test]
+    fn shrink_then_regrow_within_storage_is_bit_identical_to_fresh() {
+        let input = |n_targets: u64, n_neighbors: u64, modulus: u64| {
+            let targets: Vec<u64> = (1_000_000..1_000_000 + n_targets).collect();
+            let neighbors: Vec<u64> = (0..n_neighbors)
+                .map(|i| i.wrapping_mul(2654435761) % modulus)
+                .collect();
+            (targets, neighbors)
+        };
+        let mut scratch = AppendUniqueScratch::default();
+        let (mut unique, mut ids, mut dups) = (Vec::new(), Vec::new(), Vec::new());
+        let mut slots = Vec::new();
+        for (n_targets, n_neighbors, modulus) in [
+            (400, 20_000, 9_001), // big
+            (40, 3_000, 701),     // small
+            (200, 12_000, 5_003), // medium
+            (400, 20_000, 9_001), // big again
+        ] {
+            let (targets, neighbors) = input(n_targets, n_neighbors, modulus);
+            let fresh = append_unique(&targets, &neighbors);
+            append_unique_into(
+                &targets,
+                &neighbors,
+                &mut scratch,
+                &mut unique,
+                &mut ids,
+                &mut dups,
+            );
+            assert_eq!(unique, fresh.unique, "{n_neighbors} neighbors");
+            assert_eq!(ids, fresh.neighbor_ids, "{n_neighbors} neighbors");
+            assert_eq!(dups, fresh.dup_count, "{n_neighbors} neighbors");
+            slots.push(scratch.table.num_slots());
+        }
+        assert!(
+            slots[1] < slots[2] && slots[2] < slots[0] && slots[3] == slots[0],
+            "active sizes {slots:?} do not shrink and regrow"
+        );
     }
 
     proptest! {

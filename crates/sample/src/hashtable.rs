@@ -22,9 +22,10 @@ pub const UNASSIGNED: i64 = -1;
 
 /// A fixed-capacity concurrent hash table with linear probing.
 ///
-/// `Default` builds a minimal (2-slot) table; grow it with
-/// [`reset`](Self::reset) before use.
-#[derive(Default)]
+/// The slot arrays may be longer than the table: only the first
+/// [`num_slots`](Self::num_slots) slots (the *active region*) are hashed
+/// into, probed, scanned and wiped. [`reset`](Self::reset) sizes the
+/// active region per call and grows the storage only when it is too short.
 pub struct GpuHashTable {
     keys: Vec<AtomicU64>,
     values: Vec<AtomicI64>,
@@ -37,7 +38,15 @@ pub struct GpuHashTable {
     /// smallest input position that inserted the key does not — AppendUnique
     /// orders its unique list by it so sub-graph IDs are schedule-free.
     min_idx: Vec<AtomicU64>,
+    /// Active slot count minus one (a power of two minus one).
     mask: usize,
+}
+
+impl Default for GpuHashTable {
+    /// A minimal (2-slot) table; grow it with [`reset`](Self::reset).
+    fn default() -> Self {
+        Self::with_capacity(1)
+    }
 }
 
 /// Outcome of an insert.
@@ -62,37 +71,40 @@ impl GpuHashTable {
         }
     }
 
-    /// Number of slots.
+    /// Number of active slots (a power of two).
     pub fn num_slots(&self) -> usize {
-        self.keys.len()
+        self.mask + 1
     }
 
     /// Clear the table for reuse with at least `capacity` keys at ≤50% load
-    /// factor: grow (reallocate) only when the current storage is too
-    /// small, otherwise wipe the slot arrays in place. An oversized table
-    /// changes which slots keys probe to, but AppendUnique's outputs are
-    /// keyed on first-occurrence watermarks rather than slot order, so
-    /// results are identical at any table size.
+    /// factor. The active region becomes the smallest power of two that
+    /// holds them, so the per-call cost follows this call's keys and not
+    /// the largest call the table has seen: storage is grown (reallocated)
+    /// only when it is too short, and only the active slots are wiped. A
+    /// smaller active region changes which slots keys probe to, but
+    /// AppendUnique's outputs are keyed on first-occurrence watermarks
+    /// rather than slot order, so results are identical at any table size.
     pub fn reset(&mut self, capacity: usize) {
         let needed = (capacity.max(1) * 2).next_power_of_two();
         if needed > self.keys.len() {
             *self = Self::with_capacity(capacity);
             return;
         }
+        self.mask = needed - 1;
         const GRAIN: usize = 4096;
-        self.keys
+        self.keys[..needed]
             .par_iter_mut()
             .with_min_len(GRAIN)
             .for_each(|k| *k.get_mut() = EMPTY_KEY);
-        self.values
+        self.values[..needed]
             .par_iter_mut()
             .with_min_len(GRAIN)
             .for_each(|v| *v.get_mut() = UNASSIGNED);
-        self.counts
+        self.counts[..needed]
             .par_iter_mut()
             .with_min_len(GRAIN)
             .for_each(|c| *c.get_mut() = 0);
-        self.min_idx
+        self.min_idx[..needed]
             .par_iter_mut()
             .with_min_len(GRAIN)
             .for_each(|m| *m.get_mut() = u64::MAX);
@@ -336,19 +348,23 @@ mod tests {
         }
     }
 
+    /// A smaller `reset` keeps the storage but shrinks the active region
+    /// to the requested power of two, and every active slot is clean.
     #[test]
     fn reset_clears_all_slot_state_in_place() {
         let mut t = GpuHashTable::default();
         t.reset(100); // grows from the minimal default table
-        let slots = t.num_slots();
-        for k in 0..50u64 {
+        assert_eq!(t.num_slots(), 256);
+        for k in 0..100u64 {
             t.insert_counted(k);
             let (slot, _) = t.get(k).unwrap();
             t.set_value(slot, k as i64);
             t.note_min_index(slot, k);
         }
-        t.reset(40); // smaller request: storage must be kept, not shrunk
-        assert_eq!(t.num_slots(), slots);
+        let storage = (t.keys.as_ptr(), t.keys.capacity(), t.keys.len());
+        t.reset(40); // smaller request: storage kept, active region shrunk
+        assert_eq!((t.keys.as_ptr(), t.keys.capacity(), t.keys.len()), storage);
+        assert_eq!(t.num_slots(), 128);
         for s in 0..t.num_slots() {
             assert_eq!(t.key_at(s), EMPTY_KEY);
             assert_eq!(t.value_at(s), UNASSIGNED);
@@ -357,6 +373,25 @@ mod tests {
         }
         for k in 0..20u64 {
             assert!(matches!(t.insert(k), Insert::New(_)));
+        }
+    }
+
+    /// `default()` is the documented 2-slot table, and it grows on `reset`.
+    #[test]
+    fn default_is_a_two_slot_table_that_grows_on_reset() {
+        let mut t = GpuHashTable::default();
+        assert_eq!(t.num_slots(), 2);
+        assert_eq!(t.keys.len(), 2);
+        assert!(matches!(t.insert(7), Insert::New(_)));
+        t.reset(10);
+        assert_eq!(t.num_slots(), 32);
+        assert_eq!(t.get(7), None);
+        for k in 0..10u64 {
+            assert!(matches!(t.insert_counted(k), Insert::New(_)));
+        }
+        for k in 0..10u64 {
+            let (slot, _) = t.get(k).unwrap();
+            assert_eq!(t.count_at(slot), 1);
         }
     }
 

@@ -18,6 +18,10 @@
 //!   adapters, [`scope`]) reduces to trees of `join` calls.
 //! - A thread outside the pool that starts a parallel op injects one root
 //!   job and blocks on a condvar latch; the whole op then runs on workers.
+//! - A worker that finds no work keeps looking for a bounded number of
+//!   rounds (`spin_loop` first, then `yield_now`, like rayon-core's
+//!   rounds-until-sleepy) before it enters the condvar sleep protocol, so
+//!   a run of short parallel ops does not pay a futex wake per op.
 //!
 //! Determinism: the pool decides only *where* closures run, never *what*
 //! they compute or in which order results are combined — the iterator layer
@@ -371,14 +375,54 @@ fn notify_work(reg: &Registry) {
     }
 }
 
+/// Idle rounds spent in `spin_loop` before an idle thread starts yielding.
+const SPIN_ROUNDS: u32 = 64;
+/// Idle rounds (spinning, then yielding) before a worker with nothing to
+/// do enters the sleep protocol.
+const ROUNDS_UNTIL_SLEEP: u32 = SPIN_ROUNDS + 32;
+
+/// Counts a pool thread's consecutive rounds without work.
+#[derive(Default)]
+struct Backoff {
+    rounds: u32,
+}
+
+impl Backoff {
+    fn reset(&mut self) {
+        self.rounds = 0;
+    }
+
+    /// Wait out one idle round: spin for the first [`SPIN_ROUNDS`], then
+    /// yield the core.
+    fn snooze(&mut self) {
+        if self.rounds < SPIN_ROUNDS {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+        self.rounds = self.rounds.saturating_add(1);
+    }
+
+    fn is_sleepy(&self) -> bool {
+        self.rounds >= ROUNDS_UNTIL_SLEEP
+    }
+}
+
 fn worker_main(reg: &'static Registry, index: usize, queue: Worker<JobRef>) {
     let local: &'static WorkerLocal = Box::leak(Box::new(WorkerLocal { index, queue }));
     WORKER.with(|w| w.set(Some(local)));
+    let mut idle = Backoff::default();
     loop {
         if let Some(job) = find_work(reg, Some(local)) {
             unsafe { job.execute() };
+            idle.reset();
             continue;
         }
+        if !idle.is_sleepy() {
+            idle.snooze();
+            continue;
+        }
+        idle.reset();
         // Sleep protocol: announce, re-scan (so a push racing with the
         // announcement is never lost), then wait for the epoch to move.
         reg.sleep.sleepers.fetch_add(1, Ordering::SeqCst);
@@ -480,16 +524,13 @@ where
 
 /// Help execute other tasks until `latch` fires.
 fn steal_until(reg: &Registry, local: &WorkerLocal, latch: &SpinLatch) {
-    let mut idle_spins = 0u32;
+    let mut idle = Backoff::default();
     while !latch.probe() {
         if let Some(job) = find_work(reg, Some(local)) {
             unsafe { job.execute() };
-            idle_spins = 0;
-        } else if idle_spins < 64 {
-            idle_spins += 1;
-            std::hint::spin_loop();
+            idle.reset();
         } else {
-            std::thread::yield_now();
+            idle.snooze();
         }
     }
 }
@@ -558,16 +599,13 @@ impl<'scope> Scope<'scope> {
 
     fn wait_all(&self, reg: &Registry) {
         if let Some(local) = current_worker() {
-            let mut idle_spins = 0u32;
+            let mut idle = Backoff::default();
             while self.pending.load(Ordering::SeqCst) > 0 {
                 if let Some(job) = find_work(reg, Some(local)) {
                     unsafe { job.execute() };
-                    idle_spins = 0;
-                } else if idle_spins < 64 {
-                    idle_spins += 1;
-                    std::hint::spin_loop();
+                    idle.reset();
                 } else {
-                    std::thread::yield_now();
+                    idle.snooze();
                 }
             }
         } else {
@@ -616,5 +654,92 @@ where
             }
             r
         }
+    }
+}
+
+#[cfg(test)]
+fn sleeping_workers() -> usize {
+    registry().sleep.sleepers.load(Ordering::SeqCst)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::prelude::*;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    /// Wait (bounded) until every worker is inside the sleep protocol.
+    /// Other tests in this binary share the pool, so they may keep
+    /// workers busy for a while; once they finish, idle workers must park.
+    fn wait_until_all_workers_sleep(limit: Duration) -> bool {
+        let n = current_num_threads();
+        let start = Instant::now();
+        while start.elapsed() < limit {
+            if sleeping_workers() == n {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        false
+    }
+
+    /// Run `f` on a non-pool thread and fail instead of hanging if it does
+    /// not finish in time.
+    fn within<R: Send + 'static>(limit: Duration, f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = mpsc::channel();
+        let caller = std::thread::spawn(move || tx.send(f()).expect("test thread hung up"));
+        let r = rx
+            .recv_timeout(limit)
+            .expect("parallel op did not complete: lost wakeup");
+        caller.join().expect("caller thread panicked");
+        r
+    }
+
+    /// The idle spin is bounded: after a burst of work every worker
+    /// parks again instead of busy-waiting forever.
+    #[test]
+    fn idle_workers_return_to_the_sleep_protocol() {
+        crate::init_threads(4);
+        for round in 0..50usize {
+            let v: Vec<usize> = (0..4096usize).into_par_iter().map(|i| i ^ round).collect();
+            assert_eq!(v[7], 7 ^ round);
+        }
+        assert!(
+            wait_until_all_workers_sleep(Duration::from_secs(20)),
+            "{} of {} workers asleep: idle workers keep spinning",
+            sleeping_workers(),
+            current_num_threads()
+        );
+    }
+
+    /// Workers that spent their whole spin budget and went to sleep must
+    /// be woken by a `join` or a `scope` started off the pool.
+    #[test]
+    fn ops_started_after_an_idle_period_complete() {
+        crate::init_threads(4);
+        let _: usize = (0..4096usize).into_par_iter().sum();
+        assert!(wait_until_all_workers_sleep(Duration::from_secs(20)));
+        let (a, b) = within(Duration::from_secs(20), || {
+            join(
+                || (0..1000u64).sum::<u64>(),
+                || (0..100u64).product::<u64>(),
+            )
+        });
+        assert_eq!((a, b), (499_500, 0));
+
+        assert!(wait_until_all_workers_sleep(Duration::from_secs(20)));
+        let spawned = within(Duration::from_secs(20), || {
+            let count = AtomicUsize::new(0);
+            scope(|s| {
+                for _ in 0..16 {
+                    s.spawn(|_| {
+                        count.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+            });
+            count.into_inner()
+        });
+        assert_eq!(spawned, 16);
     }
 }
